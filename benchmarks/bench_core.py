@@ -140,16 +140,11 @@ def _sampled_section(repeat: int) -> list[dict]:
 
     spec = lsq_spec("samie")
     plan = SamplePlan(*SAMPLED_PLAN)
-    variants = [("sampled-scalar", "scalar", False)]
-    try:
-        import numpy  # noqa: F401
-
-        best_engine = "vector"
-        variants.append(("sampled-vector", "vector", False))
-    except ImportError:  # pragma: no cover - numpy is a test-tier dep
-        best_engine = "scalar"
-        print("numpy unavailable: skipping the sampled-vector cell")
-    variants.append(("sampled-skip", best_engine, True))
+    variants = [
+        ("sampled-scalar", "scalar", False),
+        ("sampled-vector", "vector", False),
+        ("sampled-skip", "vector", True),
+    ]
     results = []
     with tempfile.TemporaryDirectory() as td:
         path = os.path.join(td, "swim.uoptrace")

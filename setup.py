@@ -21,6 +21,7 @@ setup(
     packages=find_packages("src"),
     package_data={"repro.trace.fixtures": ["*.log"]},
     python_requires=">=3.10",
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             "samie-repro = repro.cli:main",

@@ -808,15 +808,19 @@ def main(argv: list[str] | None = None) -> int:
                             "mshr_entries=1,mshr_targets=1 restores the "
                             "blocking-cache model")
 
-    run_p = sub.add_parser("run", help="simulate one or more workloads")
+    # the simulation flags `run`, `scenarios run` and `submit` share
+    sim_flags = argparse.ArgumentParser(add_help=False)
+    sim_flags.add_argument("--lsq", default="samie",
+                           choices=["conventional", "unbounded", "samie", "arb"])
+    sim_flags.add_argument("--instructions", type=int, default=20000)
+    sim_flags.add_argument("--warmup", type=int, default=5000)
+    sim_flags.add_argument("--seed", type=int, default=1)
+    sim_flags.add_argument("--json", default=None, metavar="PATH",
+                           help="also write the results as a JSON report here")
+
+    run_p = sub.add_parser("run", parents=[sim_flags],
+                           help="simulate one or more workloads")
     run_p.add_argument("workload", nargs="+")
-    run_p.add_argument("--lsq", default="samie",
-                       choices=["conventional", "unbounded", "samie", "arb"])
-    run_p.add_argument("--instructions", type=int, default=20000)
-    run_p.add_argument("--warmup", type=int, default=5000)
-    run_p.add_argument("--seed", type=int, default=1)
-    run_p.add_argument("--json", default=None, metavar="PATH",
-                       help="also write the results as a JSON report here")
     run_p.add_argument("--profile", action="store_true",
                        help="per-stage time + structure-occupancy report "
                             "(instrumented run; bypasses the result cache)")
@@ -906,16 +910,10 @@ def main(argv: list[str] | None = None) -> int:
     scn_show.set_defaults(fn=_cmd_scenarios_show)
 
     scn_run = scn_sub.add_parser(
-        "run", help="simulate scenarios (sugar for `run scenario:<name>`)")
+        "run", parents=[sim_flags],
+        help="simulate scenarios (sugar for `run scenario:<name>`)")
     scn_run.add_argument("scenario", nargs="+",
                          help="catalog name or inline scenario:{json} spec")
-    scn_run.add_argument("--lsq", default="samie",
-                         choices=["conventional", "unbounded", "samie", "arb"])
-    scn_run.add_argument("--instructions", type=int, default=20000)
-    scn_run.add_argument("--warmup", type=int, default=5000)
-    scn_run.add_argument("--seed", type=int, default=1)
-    scn_run.add_argument("--json", default=None, metavar="PATH",
-                         help="also write the results as a JSON report here")
     add_sweep_flags(scn_run)
     scn_run.set_defaults(fn=_cmd_scenarios_run, profile=False, cycle_trace=None)
 
@@ -1001,23 +999,17 @@ def main(argv: list[str] | None = None) -> int:
                        help="less log detail (WARNING)")
     srv_p.set_defaults(fn=_cmd_serve)
 
-    sub_p = sub.add_parser("submit", help="submit a workload batch to a running service")
+    sub_p = sub.add_parser("submit", parents=[sim_flags],
+                           help="submit a workload batch to a running service")
     sub_p.add_argument("workload", nargs="+")
     sub_p.add_argument("--server", default="http://127.0.0.1:8421",
                        help="service base URL")
-    sub_p.add_argument("--lsq", default="samie",
-                       choices=["conventional", "unbounded", "samie", "arb"])
-    sub_p.add_argument("--instructions", type=int, default=20000)
-    sub_p.add_argument("--warmup", type=int, default=5000)
-    sub_p.add_argument("--seed", type=int, default=1)
     sub_p.add_argument("--mem", default=None, metavar="K=V[,K=V...]",
                        help="memory-hierarchy overrides (as in `run`)")
     sub_p.add_argument("--stream", action="store_true",
                        help="follow per-job progress events while waiting")
     sub_p.add_argument("--timeout", type=float, default=300.0,
                        help="seconds to wait for the batch (default 300)")
-    sub_p.add_argument("--json", default=None, metavar="PATH",
-                       help="also write the results as a JSON report here")
     sub_p.set_defaults(fn=_cmd_submit)
 
     top_p = sub.add_parser("top", help="live terminal view of a running service")

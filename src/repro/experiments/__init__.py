@@ -3,11 +3,13 @@
 Every driver exposes ``compute(..., jobs=N) -> FigureResult`` returning
 the same rows/series the paper reports, plus a ``main()`` for CLI use.
 Drivers build :class:`~repro.experiments.runner.SimSpec` batches and hand
-them to :func:`~repro.experiments.runner.run_many`, which memoises per
-(workload, machine, scale, seed, config) within the process, persists
-results to an optional on-disk JSON cache, and fans uncached specs out
-over a process pool when ``jobs > 1`` (Figures 5-12 all share one
-conventional-vs-SAMIE sweep, simulated once per session).
+them to :func:`~repro.experiments.runner.run_many`, a facade over the
+default :class:`~repro.service.session.SimService` -- the one way to run
+a simulation.  The session memoises per spec key (workload, machine,
+scale, seed, config, ...), persists results to its content-addressed
+store, and fans uncached specs out over worker shards when ``jobs > 1``
+(Figures 5-12 all share one conventional-vs-SAMIE sweep, simulated once
+per session).
 """
 
 from repro.experiments.report import FigureResult, format_table, geomean
@@ -24,7 +26,6 @@ from repro.experiments.runner import (
     parse_mem_overrides,
     validate_mem_spec,
     run_many,
-    run_one,
     run_pair,
     run_spec,
     suite_pairs,
@@ -46,7 +47,6 @@ __all__ = [
     "parse_mem_overrides",
     "validate_mem_spec",
     "run_many",
-    "run_one",
     "run_pair",
     "run_spec",
     "suite_pairs",

@@ -19,19 +19,21 @@ Execution and caching live in :mod:`repro.service`:
 * ``repro serve`` / ``repro submit`` expose the same batches over
   HTTP/JSON (:mod:`repro.service.httpapi`).
 
-This module keeps the **stable spec vocabulary** (``SimSpec``,
-``lsq_spec``, ``mem_spec``, the canonical machines) plus thin,
-bit-identical facades over one process-wide *default session*:
-:func:`run_spec` (the pure worker body), :func:`run_many`,
-:func:`sweep`, :func:`suite_pairs`, :func:`run_pair` and the legacy
-factory-based :func:`run_one`.  Every facade accepts ``session=`` to
-target an explicit :class:`SimService` (or a
+There is one way to run a simulation: a ``SimSpec`` handed to a
+``SimService``.  This module keeps the **stable spec vocabulary**
+(``SimSpec``, ``lsq_spec``, ``mem_spec``, the canonical ``MACHINE_*``
+machines and ``machine_*`` builders), :func:`run_spec` (the pure
+simulation a worker performs) and thin, bit-identical facades over one
+process-wide *default session*: :func:`run_many`, :func:`sweep`,
+:func:`suite_pairs` and :func:`run_pair`.  Every facade accepts
+``session=`` to target an explicit :class:`SimService` (or a
 :class:`~repro.service.client.ServiceClient` speaking to a remote one);
 with ``session=None`` they share the default session, whose store
 follows the **deprecated** ``REPRO_CACHE``/``REPRO_CACHE_DIR``
 environment variables via :meth:`CacheConfig.from_env` so existing
 scripts keep working (see that method for the deprecation path -- new
-code passes a ``CacheConfig`` or store explicitly).
+code passes a ``CacheConfig`` or store explicitly).  Its store is
+``default_session().store``; :func:`clear_cache` drops its memo.
 
 Scale knobs: the paper simulates 100M instructions per benchmark on a
 native simulator; this pure-Python model defaults to 6000 instructions
@@ -39,7 +41,7 @@ per run (override with the ``REPRO_INSTR`` / ``REPRO_WARMUP`` environment
 variables for higher-fidelity runs).  ``DEFAULT_INSTRUCTIONS`` and
 ``DEFAULT_WARMUP`` are module attributes resolved *per access* from
 :func:`current_scale`, so they can never disagree with the per-call
-semantics of :func:`run_one`.
+scale :meth:`SimSpec.make` applies.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from repro.service.store import CacheClearance, CacheConfig, content_address
+from repro.service.store import CacheConfig, content_address
 
 from repro.core.config import ProcessorConfig
 from repro.core.pipeline import SimResult
@@ -131,14 +133,6 @@ REPRESENTATIVE_WORKLOADS = [
     "ammp", "applu", "art", "bzip2", "crafty", "equake",
     "facerec", "gcc", "mcf", "mgrid", "swim", "twolf",
 ]
-
-_cache: dict[tuple, SimResult] = {}
-
-
-def clear_cache() -> None:
-    """Drop all memoised simulation results (in-process layer only)."""
-    _cache.clear()
-
 
 # -- declarative LSQ specs (picklable; what run_many fans out) ---------------
 
@@ -333,40 +327,6 @@ def _trace_token(workload: str) -> str:
     return trace_token(path)
 
 
-def _spec_key(
-    workload: str,
-    machine_key: str,
-    instructions: int,
-    warmup: int,
-    seed: int,
-    cfg: ProcessorConfig | None,
-    sample: tuple | None = None,
-    mem: MemSpec | None = None,
-) -> tuple:
-    """The one memo/disk-cache identity shared by every entry point.
-
-    Every component is a JSON-stable scalar (the disk cache compares the
-    key after a JSON round trip, which would turn a tuple into a list).
-    The workload is canonicalised here too, so the factory-based
-    :func:`run_one` and a :class:`SimSpec` naming the same trace by
-    alias, relative or absolute path share one cache identity -- and a
-    trace replay's seed is normalised away (recorded streams are
-    independent of it; distinct seeds must not duplicate cache entries).
-    """
-    canonical = _canonical_workload(workload)
-    return (
-        canonical,
-        machine_key,
-        instructions,
-        warmup,
-        0 if canonical.startswith(TRACE_SCHEME) else seed,
-        config_token(cfg),
-        "/".join(str(x) for x in sample) if sample else "",
-        _trace_token(workload),
-        _mem_token(mem),
-    )
-
-
 @dataclass(frozen=True)
 class SimSpec:
     """One simulation work item: everything a worker process needs.
@@ -434,20 +394,33 @@ class SimSpec:
 
     @property
     def key(self) -> tuple:
-        """Stable memo key (shared with the factory-based :func:`run_one`)."""
-        return _spec_key(
-            self.workload, self.machine_key, self.instructions, self.warmup,
-            self.seed, self.cfg, self.sample, self.mem,
+        """The memo/store identity every entry point shares.
+
+        Every component is a JSON-stable scalar (the store compares the
+        key after a JSON round trip, which would turn a tuple into a
+        list).  The workload is canonicalised here too, so specs naming
+        the same trace by alias, relative or absolute path share one
+        cache identity -- and a trace replay's seed is normalised away
+        (recorded streams are independent of it; distinct seeds must not
+        duplicate cache entries).
+        """
+        canonical = _canonical_workload(self.workload)
+        return (
+            canonical,
+            self.machine_key,
+            self.instructions,
+            self.warmup,
+            0 if canonical.startswith(TRACE_SCHEME) else self.seed,
+            config_token(self.cfg),
+            "/".join(str(x) for x in self.sample) if self.sample else "",
+            _trace_token(self.workload),
+            _mem_token(self.mem),
         )
 
     @property
     def cache_id(self) -> str:
         """Filesystem-safe digest of :attr:`key` for the disk cache."""
-        return _cache_id(self.key)
-
-
-def _cache_id(key: tuple) -> str:
-    return content_address(key, CACHE_VERSION)
+        return content_address(self.key, CACHE_VERSION)
 
 
 # -- the default session and its store ---------------------------------------
@@ -463,9 +436,9 @@ _default_session = None
 def default_session():
     """The process-wide :class:`~repro.service.session.SimService`.
 
-    Shares this module's memo (``_cache``) and rebinds its store whenever
-    the deprecated cache environment variables change, so the historical
-    env semantics keep working verbatim on top of the explicit
+    Rebinds its store whenever the deprecated cache environment
+    variables change, so the historical env semantics keep working
+    verbatim on top of the explicit
     :class:`~repro.service.store.CacheConfig` API.
     """
     global _default_session
@@ -473,46 +446,17 @@ def default_session():
 
     env = CacheConfig.from_env()
     if _default_session is None:
-        _default_session = SimService(cache=env, memo=_cache)
+        _default_session = SimService(cache=env)
         _default_session.standup()
     elif _default_session.cache_config != env:
         _default_session.rebind_store(env)
     return _default_session
 
 
-def cache_dir() -> str | None:
-    """Directory of the on-disk result cache, or ``None`` when disabled.
-
-    Deprecated env mapping (see :meth:`CacheConfig.from_env`):
-    ``REPRO_CACHE=0`` disables it; ``REPRO_CACHE_DIR`` overrides the
-    default location (``~/.cache/samie-repro``).
-    """
-    return CacheConfig.from_env().resolved_dir()
-
-
-def _disk_path(key: tuple) -> str | None:
-    return default_session().store.path_for(key)
-
-
-def _disk_load(key: tuple) -> SimResult | None:
-    return default_session().store.get(key)
-
-
-def _disk_store(key: tuple, result: SimResult) -> None:
-    default_session().store.put(key, result)
-
-
-def clear_disk_cache() -> CacheClearance:
-    """Remove every entry of the default session's result store.
-
-    Returns a :class:`~repro.service.store.CacheClearance` reporting how
-    many entries were removed and how many of them were stale
-    (version-mismatched or corrupt).  Stale entries are also reclaimed
-    incrementally whenever a lookup touches them; this reports whatever
-    was still left.  Prefer ``repro cache clear`` (or
-    ``store.clear()`` on an explicit session) in new code.
-    """
-    return default_session().store.clear()
+def clear_cache() -> None:
+    """Drop the default session's memoised results (its store is kept)."""
+    if _default_session is not None:
+        _default_session.clear_memo()
 
 
 # -- execution ---------------------------------------------------------------
@@ -547,28 +491,6 @@ def run_spec(spec: SimSpec) -> SimResult:
         )
     pipe.attach_trace(trace)
     return pipe.run(spec.instructions, warmup=spec.warmup)
-
-
-def _pool_worker(spec: SimSpec) -> SimResult:
-    return run_spec(spec)
-
-
-def _pool_worker_traced(spec: SimSpec, ctx: dict | None):
-    """Observability-aware worker body: ``(result, spans)``.
-
-    ``ctx`` is the parent's span-context snapshot (run/batch/shard IDs).
-    The worker re-enters it, simulates, and hands its spans back beside
-    the result -- never inside it, so results stay bit-identical whether
-    or not anyone is watching.  With ``ctx=None`` this degrades to
-    :func:`_pool_worker` plus an empty span list.
-    """
-    from repro.obs import spans as _spans
-
-    with _spans.worker_spans(ctx) as captured:
-        with _spans.span("job.simulate", spec=spec.cache_id[:12],
-                         workload=spec.workload):
-            result = run_spec(spec)
-    return result, (captured or [])
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -630,79 +552,6 @@ def sweep(
     specs = [SimSpec.make(w, m, instructions, warmup, seed, mem=mem) for w, m in pairs]
     results = run_many(specs, jobs=jobs, session=session)
     return {(w, m[0]): r for (w, m), r in zip(pairs, results)}
-
-
-# -- legacy factory-based entry points ---------------------------------------
-
-def conventional_baseline() -> BaseLSQ:
-    """Paper baseline: 128-entry fully-associative LSQ."""
-    return build_lsq(MACHINE_CONV128[1])
-
-
-def unbounded_lsq() -> BaseLSQ:
-    """Figure 1 reference machine: LSQ of unbounded size."""
-    return build_lsq(MACHINE_UNBOUNDED[1])
-
-
-def samie_default() -> BaseLSQ:
-    """Paper Table 3 SAMIE configuration."""
-    return build_lsq(MACHINE_SAMIE[1])
-
-
-def samie_unbounded_shared(banks: int = 64, entries: int = 2) -> Callable[[], BaseLSQ]:
-    """SAMIE with an unbounded SharedLSQ (sizing studies, Figures 3-4)."""
-    spec = machine_samie_unbounded_shared(banks, entries)[1]
-
-    def factory() -> BaseLSQ:
-        return build_lsq(spec)
-
-    return factory
-
-
-def arb_machine(banks: int, addresses: int, max_inflight: int = 128) -> Callable[[], BaseLSQ]:
-    """ARB with the given geometry (Figure 1 sweep)."""
-    spec = machine_arb(banks, addresses, max_inflight)[1]
-
-    def factory() -> BaseLSQ:
-        return build_lsq(spec)
-
-    return factory
-
-
-def run_one(
-    workload: str,
-    lsq_factory: Callable[[], BaseLSQ],
-    machine_key: str,
-    instructions: int | None = None,
-    warmup: int | None = None,
-    seed: int = 1,
-    cfg: ProcessorConfig | None = None,
-) -> SimResult:
-    """Simulate one workload on one machine, memoised by ``machine_key``.
-
-    Serial, factory-based compatibility shim over the spec engine: it
-    shares the memo and disk cache with :func:`run_many` through the same
-    stable key, so mixed factory/spec sessions never recompute a point.
-    ``machine_key`` must uniquely name the machine the factory builds.
-    """
-    if not has_workload(workload):
-        raise UnknownWorkloadError(f"unknown workload {workload!r}")
-    env_n, env_w = current_scale()
-    n = instructions if instructions is not None else env_n
-    w = warmup if warmup is not None else env_w
-    # cfg is part of the key: two runs of the same machine under different
-    # processor configs (e.g. the fast-way ablation) must not collide
-    key = _spec_key(workload, machine_key, n, w, seed, cfg)
-    if key not in _cache:
-        hit = _disk_load(key)
-        if hit is not None:
-            _cache[key] = hit
-        else:
-            pipe = build_processor(lsq_factory(), cfg)
-            pipe.attach_trace(make_trace(workload, seed))
-            _cache[key] = pipe.run(n, warmup=w)
-            _disk_store(key, _cache[key])
-    return _cache[key]
 
 
 def run_pair(

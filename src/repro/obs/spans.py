@@ -111,8 +111,7 @@ def span(name: str, log: SpanLog | None = None, **meta):
         if not _obs.enabled():
             yield None
             return
-        sink = _sink.get()
-        log = SPANS if sink is None else sink  # not `or`: empty SpanLog is falsy
+        log = _current_log()
     record = {"name": name, "ts": time.time(), **current_context(), **meta}
     t0 = time.perf_counter()
     try:
@@ -120,6 +119,16 @@ def span(name: str, log: SpanLog | None = None, **meta):
     finally:
         record["dur"] = time.perf_counter() - t0
         log.add(record)
+
+
+def _current_log() -> SpanLog:
+    sink = _sink.get()
+    return SPANS if sink is None else sink  # not `or`: empty SpanLog is falsy
+
+
+def record(finished: dict) -> None:
+    """Add an already-timed span (one a worker returned) to the current sink."""
+    _current_log().add(finished)
 
 
 @contextlib.contextmanager

@@ -6,19 +6,21 @@ Layered, bottom up:
   the ``ResultStore`` interface (``LocalDirStore``, ``MemoryStore``,
   ``NullStore``) plus the explicit :class:`CacheConfig` that replaces
   the old env-var-only cache configuration.
-* :mod:`repro.service.session` -- :class:`SimService` (alias
-  :class:`SweepSession`): store + memo + sharded worker pool with
-  explicit lifecycle phases, in-flight dedup and admission control.
+* :mod:`repro.service.session` -- :class:`SimService`: store + memo +
+  sharded worker pool with explicit lifecycle phases, in-flight dedup
+  and admission control.  It is the only engine that runs simulations:
+  every job, on every executor backend, goes through one worker body
+  and one dispatch helper.
 * :mod:`repro.service.wire` -- the JSON wire format for ``SimSpec``.
 * :mod:`repro.service.httpapi` / :mod:`repro.service.client` -- the
   stdlib HTTP/JSON front end (``repro serve``) and its client
   (``repro submit``; ``ServiceClient`` is session-shaped, so drivers
   accept it via their ``session=`` argument).
 
-The legacy ``repro.experiments.runner`` entry points
-(``run_spec``/``run_many``/``sweep``/...) are thin facades over a
-default session and stay bit-identical; see that module's docstring for
-the migration map.
+The ``repro.experiments.runner`` entry points (``run_many``/``sweep``/
+``suite_pairs``/``run_pair``) are thin facades over a process-wide
+default session and stay bit-identical; ``run_spec`` is the pure
+simulation the worker body performs.
 
 Submodules import lazily (PEP 562) so ``repro.experiments.runner`` can
 import :mod:`repro.service.store` without dragging in the HTTP stack.
@@ -43,8 +45,6 @@ _EXPORTS = {
     "ServiceError": "repro.service.session",
     "ServiceStats": "repro.service.session",
     "SimService": "repro.service.session",
-    "SweepSession": "repro.service.session",
-    "make_session": "repro.service.session",
     "ServiceHTTPServer": "repro.service.httpapi",
     "serve": "repro.service.httpapi",
     "ServiceClient": "repro.service.client",

@@ -23,8 +23,10 @@ under ``/v1``)::
 
 Spec documents are the :mod:`repro.service.wire` format; results are
 ``SimResult.to_dict()`` documents, bit-identical to what the in-process
-API returns.  Error mapping: malformed input -> 400, unknown workload ->
-400, unknown batch/result -> 404, admission refusal -> 429, lifecycle
+API returns.  Error mapping: malformed input (including a body that is
+not a JSON object) -> 400, unknown workload -> 400, unknown
+batch/result -> 404, a body over :data:`MAX_BODY_BYTES` -> 413 (unread;
+the connection is closed), admission refusal -> 429, lifecycle
 violation -> 409.
 
 The handler threads only touch the service through its public, locked
@@ -47,6 +49,12 @@ from repro.service.wire import specs_from_docs
 _STREAM_POLL = 0.05
 #: seconds between heartbeat frames on /v1/batch/<id>/stream
 _HEARTBEAT_EVERY = 0.5
+#: largest request body read (bytes); a larger Content-Length gets 413
+MAX_BODY_BYTES = 16 << 20
+
+
+class _BodyTooLarge(Exception):
+    """The request declared a body over :data:`MAX_BODY_BYTES`."""
 
 
 def heartbeat_rate(prev: tuple[float, float] | None, now: float,
@@ -126,10 +134,16 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length") or 0)
         if length <= 0:
             raise ValueError("request body required")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(f"request body of {length} bytes exceeds "
+                                f"the {MAX_BODY_BYTES}-byte limit")
         try:
-            return json.loads(self.rfile.read(length))
+            body = json.loads(self.rfile.read(length))
         except ValueError:
             raise ValueError("request body is not valid JSON") from None
+        if not isinstance(body, dict):
+            raise ValueError("request body must be a JSON object")
+        return body
 
     # -- routing -------------------------------------------------------------
 
@@ -187,6 +201,10 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             body = self._read_body()
             specs = specs_from_docs(body.get("specs"))
+        except _BodyTooLarge as e:
+            # the body stays unread, so the connection cannot be reused
+            self.close_connection = True
+            return self._error(413, str(e))
         except ValueError as e:
             return self._error(400, str(e))
         try:

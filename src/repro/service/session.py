@@ -32,9 +32,11 @@ shard's queue serializes them.  Shards are multi-process by default
 (``"thread"``), or inline (``"inline"``).  A service stood up with
 ``jobs=N`` keeps standing shards and schedules at submit time (the HTTP
 server mode); a service with ``jobs=None`` defers execution to
-:meth:`collect`, which spins ephemeral shards per call -- exactly the old
-``run_many(jobs=N)`` behaviour, bit-identical because workers are pure
-functions of their spec.
+:meth:`collect`, which spins ephemeral shards per call (or runs inline
+for a single worker).  Both hand jobs to shards through one dispatch
+helper, and every backend runs the same worker body, which returns
+``(result, spans)``; results are bit-identical across backends because
+the worker is a pure function of its spec.
 """
 
 from __future__ import annotations
@@ -70,6 +72,23 @@ def _runner():
     from repro.experiments import runner
 
     return runner
+
+
+def _worker(spec, ctx: dict | None):
+    """The one worker body: simulate ``spec``, return ``(result, spans)``.
+
+    Every executor -- process, thread or inline -- runs this.  ``ctx`` is
+    the parent's span-context snapshot (run/batch/shard IDs), or ``None``
+    when observability is off.  The worker re-enters it, simulates, and
+    hands its spans back beside the result -- never inside it, so results
+    stay bit-identical whether or not anyone is watching.
+    """
+    if ctx is None:
+        return _runner().run_spec(spec), []
+    with _spans.worker_spans(ctx) as captured:
+        with _spans.span("job.simulate", spec=ctx["run"], workload=spec.workload):
+            result = _runner().run_spec(spec)
+    return result, captured
 
 
 class ServiceError(RuntimeError):
@@ -226,8 +245,7 @@ class SimService:
     call.  ``backend`` picks the shard executor: ``"process"`` (real
     parallelism, the default), ``"thread"`` or ``"inline"``.
     ``max_pending`` bounds the queued+running job count (admission
-    control); ``memo`` lets a caller share an existing memo dict (the
-    legacy facades pass the runner's module-level memo).
+    control).
     """
 
     def __init__(
@@ -237,7 +255,6 @@ class SimService:
         jobs: int | None = None,
         backend: str = "process",
         max_pending: int | None = None,
-        memo: dict | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
         if store is not None and cache is not None:
@@ -280,7 +297,7 @@ class SimService:
             "Wall-clock seconds per executed job (simulated and failed)",
             buckets=DURATION_BUCKETS,
         )
-        self._memo: dict[tuple, SimResult] = memo if memo is not None else {}
+        self._memo: dict[tuple, SimResult] = {}
         self._inflight: dict[tuple, Job] = {}
         self._jobs_by_id: dict[str, Job] = {}
         self._batches: dict[str, Batch] = {}
@@ -475,7 +492,8 @@ class SimService:
             jobs.append(job)
         if self._shards is not None:
             for job in new_jobs:
-                self._schedule_locked(job)
+                job._claimed = True
+                self._dispatch(job, self._shards)
         return jobs
 
     def _hit_job(self, spec, key, result: SimResult, source: str) -> Job:
@@ -486,7 +504,7 @@ class SimService:
 
     # -- execution -----------------------------------------------------------
 
-    def _worker_ctx(self, job: Job, shard_idx: int) -> dict | None:
+    def _worker_ctx(self, job: Job, shard_idx: int | None) -> dict | None:
         """Span context to ship into a pool worker, or None when obs is off.
 
         A non-None context is also the worker's opt-in signal: the traced
@@ -498,36 +516,36 @@ class SimService:
         return {"run": job.cache_id[:12], "batch": job.batch_id,
                 "shard": shard_idx}
 
-    def _schedule_locked(self, job: Job) -> None:
-        job._claimed = True
+    def _dispatch(self, job: Job, shards: list[Executor]) -> None:
+        """Hand a claimed job to its shard; it completes via :meth:`_on_future`.
+
+        The shard is chosen from the content address, so identical keys
+        share one single-worker queue.  A shard that refuses the job (a
+        shut-down or broken executor) fails it with the executor's error,
+        so nothing is left in flight that no worker will ever finish.
+        """
         job.state = "running"
         job._t0 = _monotonic()
-        self.stats.simulated += 1
-        shard_idx = int(job.cache_id[:8], 16) % len(self._shards)
-        shard = self._shards[shard_idx]
+        shard_idx = int(job.cache_id[:8], 16) % len(shards)
         with _spans.span("service.dispatch", run=job.cache_id[:12],
                          shard=shard_idx):
-            ctx = self._worker_ctx(job, shard_idx)
-            if self.backend == "thread":
-                future = shard.submit(
-                    lambda spec=job.spec, c=ctx:
-                    _runner()._pool_worker_traced(spec, c) if c is not None
-                    else _runner().run_spec(spec))
-            elif ctx is not None:
-                future = shard.submit(_runner()._pool_worker_traced, job.spec, ctx)
-            else:
-                future = shard.submit(_runner()._pool_worker, job.spec)
+            try:
+                future = shards[shard_idx].submit(
+                    _worker, job.spec, self._worker_ctx(job, shard_idx))
+            except RuntimeError as exc:  # shut down, or a BrokenExecutor
+                with self._lock:
+                    self._fail(job, exc)
+                return
+        self.stats.simulated += 1
         future.add_done_callback(lambda f, job=job: self._on_future(job, f))
 
     @staticmethod
-    def _unpack_worker(out):
-        """Accept both worker shapes: SimResult, or (SimResult, spans)."""
-        if isinstance(out, tuple):
-            result, wspans = out
-            for s in wspans:
-                _spans.SPANS.add(s)
-            return result
-        return out
+    def _unpack_worker(out) -> SimResult:
+        """Split a worker's ``(result, spans)``, recording the spans."""
+        result, wspans = out
+        for s in wspans:
+            _spans.record(s)
+        return result
 
     def _on_future(self, job: Job, future) -> None:
         exc = future.exception()
@@ -550,8 +568,10 @@ class SimService:
             self._memo[job.key] = result
             self._inflight.pop(job.key, None)
             self._observe_job(job)
-        self.store.put(job.key, result)
-        job._event.set()
+        try:
+            self.store.put(job.key, result)
+        finally:
+            job._event.set()  # a failing store must not strand waiters
 
     def _fail(self, job: Job, exc: BaseException) -> None:
         job.exception = exc
@@ -567,14 +587,12 @@ class SimService:
         job._t0 = _monotonic()
         self.stats.simulated += 1
         try:
-            with _spans.span("job.simulate", spec=job.cache_id[:12],
-                             workload=job.spec.workload):
-                result = _runner().run_spec(job.spec)
+            out = _worker(job.spec, self._worker_ctx(job, None))
         except BaseException as exc:
             with self._lock:
                 self._fail(job, exc)
             raise
-        self._finish(job, result)
+        self._finish(job, self._unpack_worker(out))
 
     def collect(self, batch: Batch, jobs: int | None = None) -> list[SimResult]:
         """Complete every job of a batch; results in submission order.
@@ -586,14 +604,13 @@ class SimService:
         Jobs claimed by standing shards (or a concurrent collect) are
         simply awaited.  The first failed job re-raises its exception.
         """
-        runner = _runner()
         with self._lock:
             mine = []
             for job in batch.jobs:
                 if job.state == "queued" and not job._claimed and job not in mine:
                     job._claimed = True
                     mine.append(job)
-        n = runner.resolve_jobs(jobs if jobs is not None else (self.jobs or 1))
+        n = _runner().resolve_jobs(jobs if jobs is not None else (self.jobs or 1))
         if self.backend == "inline" or n <= 1 or len(mine) <= 1:
             for i, job in enumerate(mine):
                 try:
@@ -607,31 +624,8 @@ class SimService:
         else:
             shards = [self._make_executor() for _ in range(min(n, len(mine)))]
             try:
-                futures = []
                 for job in mine:
-                    job.state = "running"
-                    job._t0 = _monotonic()
-                    self.stats.simulated += 1
-                    shard_idx = int(job.cache_id[:8], 16) % len(shards)
-                    shard = shards[shard_idx]
-                    ctx = self._worker_ctx(job, shard_idx)
-                    if self.backend == "thread":
-                        futures.append(shard.submit(
-                            lambda spec=job.spec, c=ctx:
-                            _runner()._pool_worker_traced(spec, c)
-                            if c is not None else _runner().run_spec(spec)))
-                    elif ctx is not None:
-                        futures.append(shard.submit(
-                            runner._pool_worker_traced, job.spec, ctx))
-                    else:
-                        futures.append(shard.submit(runner._pool_worker, job.spec))
-                for job, future in zip(mine, futures):
-                    exc = future.exception()
-                    if exc is not None:
-                        with self._lock:
-                            self._fail(job, exc)
-                    else:
-                        self._finish(job, self._unpack_worker(future.result()))
+                    self._dispatch(job, shards)
             finally:
                 for ex in shards:
                     ex.shutdown(wait=True)
@@ -663,6 +657,11 @@ class SimService:
                 return job.result
         return self.store.get_by_address(address)
 
+    def clear_memo(self) -> None:
+        """Forget finished results; the store still serves them."""
+        with self._lock:
+            self._memo.clear()
+
     def rebind_store(self, cache: CacheConfig) -> None:
         """Swap the result store (the env-following default session)."""
         with self._lock:
@@ -682,23 +681,3 @@ class SimService:
                 "stats": self.stats.snapshot(),
                 "store": dict(info._asdict()),
             }
-
-
-#: alias: the batch-oriented name used by driver code and the docs
-SweepSession = SimService
-
-
-def _default_memo() -> dict:
-    # the legacy facades share the runner's module-level memo so mixed
-    # facade/session code never recomputes a point
-    return _runner()._cache
-
-
-def make_session(
-    cache: CacheConfig | None = None,
-    jobs: int | None = None,
-    backend: str = "process",
-    max_pending: int | None = None,
-) -> SimService:
-    """Convenience constructor used by the CLI ``serve`` verb."""
-    return SimService(cache=cache, jobs=jobs, backend=backend, max_pending=max_pending)

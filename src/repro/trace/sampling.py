@@ -284,17 +284,14 @@ def functional_warmer(pipe: Pipeline):
 def make_warm_engine(pipe: Pipeline, warm_engine: str = "vector"):
     """Construct the named warm engine (``"scalar"`` or ``"vector"``).
 
-    The vector engine needs numpy; if it is unavailable the scalar
-    reference is substituted -- safe because the engines are
-    bit-identical by contract.
+    The numpy vector engine is the fast default; the scalar engine is its
+    bit-identical reference (the equivalence tier enforces it).
     """
     if warm_engine == "scalar":
         return ScalarWarmEngine(pipe)
     if warm_engine == "vector":
-        try:
-            from repro.trace.fastwarm import VectorWarmEngine
-        except ImportError:  # no numpy: the scalar reference is identical
-            return ScalarWarmEngine(pipe)
+        from repro.trace.fastwarm import VectorWarmEngine
+
         return VectorWarmEngine(pipe)
     raise ValueError(
         f"unknown warm engine {warm_engine!r}; use 'scalar' or 'vector'"

@@ -10,6 +10,7 @@ import repro.obs as obs
 from repro.experiments import runner
 from repro.experiments.runner import MACHINE_SAMIE, SimSpec
 from repro.obs import spans
+from repro.service.session import _worker
 
 
 @pytest.fixture(autouse=True)
@@ -93,8 +94,7 @@ class TestPoolPropagation:
         spec = _spec()
         ctx = {"run": spec.cache_id[:12], "batch": "b1", "shard": 0}
         with ProcessPoolExecutor(max_workers=1) as pool:
-            result, worker_spans = pool.submit(
-                runner._pool_worker_traced, spec, ctx).result()
+            result, worker_spans = pool.submit(_worker, spec, ctx).result()
         # the result is bit-identical to an untraced local run
         assert result.to_dict() == runner.run_spec(spec).to_dict()
         names = [s["name"] for s in worker_spans]
@@ -106,7 +106,7 @@ class TestPoolPropagation:
 
     def test_untraced_worker_returns_bare_result(self):
         spec = _spec()
-        result, captured = runner._pool_worker_traced(spec, None)
+        result, captured = _worker(spec, None)
         assert captured == []
         assert result.to_dict() == runner.run_spec(spec).to_dict()
 

@@ -6,31 +6,46 @@ import pytest
 
 from repro.energy.calibration import STRUCT_TARGETS, TABLE1_TARGETS, report, residuals
 from repro.energy.cacti import DEFAULT_PARAMS
+from repro.experiments import runner
 from repro.experiments.runner import (
-    arb_machine,
+    MACHINE_CONV128,
+    MACHINE_SAMIE,
+    MACHINE_UNBOUNDED,
+    SimSpec,
+    build_lsq,
     clear_cache,
-    conventional_baseline,
-    run_one,
-    samie_default,
-    samie_unbounded_shared,
-    unbounded_lsq,
+    machine_arb,
+    machine_samie_unbounded_shared,
+    run_many,
 )
 from repro.lsq.arb import ARBLSQ
 from repro.lsq.conventional import ConventionalLSQ
 from repro.lsq.samie import SamieLSQ
 
 
+@pytest.fixture(autouse=True)
+def _private_store(tmp_path, monkeypatch):
+    """Keep the default session's store away from the user's cache."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    clear_cache()
+    yield
+    clear_cache()
+
+
 class TestMachineFactories:
+    """The canonical machines build the paper's LSQ geometries."""
+
     def test_baseline_is_128(self):
-        lsq = conventional_baseline()
+        lsq = build_lsq(MACHINE_CONV128[1])
         assert isinstance(lsq, ConventionalLSQ)
         assert lsq.capacity == 128
 
     def test_unbounded(self):
-        assert unbounded_lsq().capacity is None
+        assert build_lsq(MACHINE_UNBOUNDED[1]).capacity is None
 
     def test_samie_default_is_table3(self):
-        lsq = samie_default()
+        lsq = build_lsq(MACHINE_SAMIE[1])
         assert isinstance(lsq, SamieLSQ)
         cfg = lsq.cfg
         assert (cfg.banks, cfg.entries_per_bank, cfg.slots_per_entry) == (64, 2, 8)
@@ -38,55 +53,55 @@ class TestMachineFactories:
         assert cfg.addr_buffer_slots == 64
 
     def test_samie_unbounded_shared(self):
-        lsq = samie_unbounded_shared(32, 4)()
+        lsq = build_lsq(machine_samie_unbounded_shared(32, 4)[1])
         assert lsq.cfg.shared_entries is None
         assert (lsq.cfg.banks, lsq.cfg.entries_per_bank) == (32, 4)
 
     def test_arb_factory(self):
-        lsq = arb_machine(8, 16)()
+        lsq = build_lsq(machine_arb(8, 16)[1])
         assert isinstance(lsq, ARBLSQ)
         assert (lsq.cfg.banks, lsq.cfg.addresses_per_bank) == (8, 16)
 
 
+def _run(workload, machine, *args, **kw):
+    return run_many([SimSpec.make(workload, machine, *args, **kw)], jobs=1)[0]
+
+
 class TestRunOne:
+    """Single-spec runs through ``run_many`` on the default session."""
+
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError):
-            run_one("nonsense", conventional_baseline, "conv128", 100, 10)
+            _run("nonsense", MACHINE_CONV128, 100, 10)
 
     def test_memoisation_key_includes_machine(self):
-        clear_cache()
-        a = run_one("gzip", conventional_baseline, "conv128", 800, 100)
-        b = run_one("gzip", samie_default, "samie", 800, 100)
+        a = _run("gzip", MACHINE_CONV128, 800, 100)
+        b = _run("gzip", MACHINE_SAMIE, 800, 100)
         assert a is not b
-        assert a is run_one("gzip", conventional_baseline, "conv128", 800, 100)
+        assert a is _run("gzip", MACHINE_CONV128, 800, 100)
         clear_cache()
-        c = run_one("gzip", conventional_baseline, "conv128", 800, 100)
-        assert c is not a
+        c = _run("gzip", MACHINE_CONV128, 800, 100)
+        assert c is not a and c == a  # the store serves an equal copy
 
     def test_memoisation_key_includes_cfg(self):
         from repro.core.config import ProcessorConfig
         from repro.mem.hierarchy import MemConfig
 
-        clear_cache()
-        base = run_one("gzip", samie_default, "samie", 400, 100)
-        fast = run_one("gzip", samie_default, "samie", 400, 100,
-                       cfg=ProcessorConfig(mem=MemConfig(fast_way_hit_latency=1)))
+        base = _run("gzip", MACHINE_SAMIE, 400, 100)
+        fast = _run("gzip", MACHINE_SAMIE, 400, 100,
+                    cfg=ProcessorConfig(mem=MemConfig(fast_way_hit_latency=1)))
         assert base is not fast
 
     def test_env_scale_read_per_call(self, monkeypatch):
-        from repro.experiments import runner
-
-        clear_cache()
         monkeypatch.setenv("REPRO_INSTR", "300")
         monkeypatch.setenv("REPRO_WARMUP", "50")
         runner.ensure_scale_coherent()
-        a = run_one("gzip", conventional_baseline, "conv128")
+        a = _run("gzip", MACHINE_CONV128)
         assert 300 <= a.instructions < 310  # commit-width overshoot only
         monkeypatch.setenv("REPRO_INSTR", "500")
         runner.ensure_scale_coherent()  # scale changed: memo dropped
-        b = run_one("gzip", conventional_baseline, "conv128")
+        b = _run("gzip", MACHINE_CONV128)
         assert 500 <= b.instructions < 510
-        clear_cache()
 
 
 class TestCalibration:

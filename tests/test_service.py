@@ -13,7 +13,6 @@ from repro.service.session import (
     PhaseError,
     ServiceError,
     SimService,
-    SweepSession,
 )
 from repro.service.store import CacheConfig, LocalDirStore, MemoryStore
 
@@ -192,6 +191,28 @@ class TestDedup:
         assert result.instructions >= SMALL["instructions"]
         svc.teardown()
 
+    def test_undispatchable_job_fails_and_drains(self):
+        # a shard whose executor refuses work must fail the job with the
+        # executor's error -- not leave a `running` job in flight that an
+        # identical resubmit would join and wait on forever
+        svc = _service(jobs=1, backend="thread")
+        svc.standup()
+        svc._shards[0].shutdown()
+        spec = _spec()
+        batch = svc.submit([spec])
+        [job] = batch.jobs
+        assert job.state == "failed"
+        assert job.error.startswith("RuntimeError")
+        assert not svc._inflight and svc.pending() == 0
+        assert svc.stats.failed == 1 and svc.stats.simulated == 0
+        again = svc.submit([spec])  # a fresh job, not a join onto a zombie
+        assert again.wait(2)
+        assert again.jobs[0] is not job and again.jobs[0].state == "failed"
+        assert svc.stats.failed == 2 and svc.stats.dedup_inflight == 0
+        with pytest.raises(RuntimeError):
+            svc.collect(again)
+        svc.teardown()
+
     def test_inline_failure_releases_later_jobs(self, monkeypatch):
         svc = _service()
         bad, good = _spec(), _spec("swim")
@@ -357,9 +378,18 @@ class TestFacades:
     def test_facade_and_session_share_the_memo(self):
         spec = _spec()
         [direct] = runner.run_many([spec], jobs=1)
-        # the default session's memo IS runner._cache: no recompute either way
+        # the facade runs on the default session: no recompute either way
         [via_session] = runner.default_session().run_many([spec])
         assert direct is via_session
 
-    def test_sweep_session_alias(self):
-        assert SweepSession is SimService
+    def test_clear_cache_drops_the_default_memo(self):
+        spec = _spec()
+        [first] = runner.run_many([spec], jobs=1)
+        session = runner.default_session()
+        assert spec.key in session._memo
+        simulated = session.stats.simulated
+        runner.clear_cache()
+        assert not session._memo
+        [again] = runner.run_many([spec], jobs=1)  # served by the store
+        assert again == first and again is not first
+        assert session.stats.simulated == simulated

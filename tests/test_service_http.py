@@ -163,6 +163,39 @@ class TestEndpoints:
             client._request("GET", "/v2/health")
         assert e.value.status == 404
 
+    @pytest.mark.parametrize("body", [b'"x"', b"[1, 2]", b"7", b"null"])
+    def test_non_object_body_maps_to_400(self, served, body):
+        _, server, _ = served
+        req = urllib.request.Request(server.url + "/v1/batch",
+                                     data=body, method="POST")
+        with pytest.raises(urllib.error.HTTPError) as raw:
+            urllib.request.urlopen(req, timeout=10)
+        assert raw.value.code == 400
+        assert "JSON object" in json.loads(raw.value.read())["error"]
+
+    def test_oversized_body_maps_to_413_unread(self, served):
+        import http.client
+
+        from repro.service.httpapi import MAX_BODY_BYTES
+
+        service, server, client = served
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            # declare more than the limit but send almost nothing: the
+            # server must answer from the header alone, not wait to read
+            conn.putrequest("POST", "/v1/batch")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders(b"{")
+            resp = conn.getresponse()
+            assert resp.status == 413
+            assert str(MAX_BODY_BYTES) in json.loads(resp.read())["error"]
+        finally:
+            conn.close()
+        assert service.stats.submitted == 0
+        assert client.health()["ok"]  # the server keeps serving
+
     def test_admission_maps_to_429(self, monkeypatch):
         entered = threading.Event()
         release = threading.Event()

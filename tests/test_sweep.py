@@ -24,13 +24,12 @@ from repro.experiments.runner import (
     mem_spec,
     parse_mem_overrides,
     run_many,
-    run_one,
-    samie_default,
 )
 from repro.lsq.arb import ARBLSQ
 from repro.lsq.conventional import ConventionalLSQ
 from repro.lsq.samie import SamieLSQ
 from repro.mem.hierarchy import MemConfig
+from repro.service.store import CacheConfig
 
 SMALL = dict(instructions=400, warmup=100)
 THREE = ["gzip", "swim", "ammp"]
@@ -44,6 +43,11 @@ def _fresh(tmp_path, monkeypatch):
     clear_cache()
     yield
     clear_cache()
+
+
+def _store_path(spec):
+    """Where the default session's store keeps ``spec``'s entry."""
+    return runner.default_session().store.path_for(spec.key)
 
 
 def _suite_specs(**kw):
@@ -85,12 +89,6 @@ class TestStableKey:
         assert config_token(a) == config_token(b) != config_token(ProcessorConfig())
         assert config_token(None) == ""
         json.loads(config_token(a))  # canonical JSON, not repr()
-
-    def test_run_one_and_run_many_share_entries(self):
-        spec = SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)
-        via_many = run_many([spec], jobs=1)[0]
-        via_one = run_one("gzip", samie_default, "samie", **SMALL)
-        assert via_one is via_many
 
     def test_cfg_distinguishes_entries(self):
         cfg = ProcessorConfig(mem=MemConfig(fast_way_hit_latency=1))
@@ -168,7 +166,7 @@ class TestDiskCache:
     def test_corrupt_entry_recomputed(self):
         spec = SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)
         first = run_many([spec], jobs=1)[0]
-        path = runner._disk_path(spec.key)
+        path = _store_path(spec)
         assert path is not None and os.path.exists(path)
         with open(path, "w") as fh:
             fh.write("{not json")
@@ -178,21 +176,22 @@ class TestDiskCache:
 
     def test_disabled_via_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
-        assert runner.cache_dir() is None
+        assert CacheConfig.from_env().resolved_dir() is None
         spec = SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)
         run_many([spec], jobs=1)
         monkeypatch.delenv("REPRO_CACHE")
-        assert not os.path.exists(runner._disk_path(spec.key))
+        assert not os.path.exists(_store_path(spec))
 
     def test_clear_disk_cache(self):
         run_many([SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)], jobs=1)
-        assert runner.clear_disk_cache() == (1, 0, 0)  # one entry, no stale/tmp
-        assert runner.clear_disk_cache() == (0, 0, 0)
+        store = runner.default_session().store
+        assert store.clear() == (1, 0, 0)  # one entry, no stale/tmp
+        assert store.clear() == (0, 0, 0)
 
     def test_stale_version_entry_deleted_on_load(self):
         spec = SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)
         first = run_many([spec], jobs=1)[0]
-        path = runner._disk_path(spec.key)
+        path = _store_path(spec)
         with open(path) as fh:
             doc = json.load(fh)
         doc["version"] = runner.CACHE_VERSION - 1
@@ -207,7 +206,7 @@ class TestDiskCache:
     def test_clear_disk_cache_reports_stale_entries(self):
         spec = SimSpec.make("gzip", MACHINE_SAMIE, **SMALL)
         run_many([spec], jobs=1)
-        path = runner._disk_path(spec.key)
+        path = _store_path(spec)
         with open(path) as fh:
             doc = json.load(fh)
         doc["version"] = runner.CACHE_VERSION - 1
@@ -215,7 +214,7 @@ class TestDiskCache:
             json.dump(doc, fh)
         # a second, current-version entry alongside the stale one
         run_many([SimSpec.make("swim", MACHINE_SAMIE, **SMALL)], jobs=1)
-        cleared = runner.clear_disk_cache()
+        cleared = runner.default_session().store.clear()
         assert cleared.removed == 2
         assert cleared.stale == 1
 
@@ -322,7 +321,7 @@ class TestMemConfigKeys:
         current = runner.CACHE_VERSION
         monkeypatch.setattr(runner, "CACHE_VERSION", current - 1)
         old = run_many([spec], jobs=1)[0]
-        old_path = runner._disk_path(spec.key)
+        old_path = _store_path(spec)
         assert os.path.exists(old_path)
         monkeypatch.setattr(runner, "CACHE_VERSION", current)
         clear_cache()
@@ -332,7 +331,7 @@ class TestMemConfigKeys:
         again = run_many([spec], jobs=1)[0]
         assert len(calls) == 1  # the v(n-1) entry was not served
         assert again == old  # same simulation semantics either way
-        assert runner._disk_path(spec.key) != old_path  # distinct identity
+        assert _store_path(spec) != old_path  # distinct identity
 
 
 class TestScaleCoherence:
@@ -344,7 +343,7 @@ class TestScaleCoherence:
         assert (300, 50) == (runner.DEFAULT_INSTRUCTIONS, runner.DEFAULT_WARMUP)
         monkeypatch.setenv("REPRO_INSTR", "500")
         runner.ensure_scale_coherent()  # scale changed: memo dropped
-        assert not runner._cache
+        assert not runner.default_session()._memo
         b = run_many([SimSpec.make("gzip", MACHINE_SAMIE)], jobs=1)[0]
         assert 500 <= b.instructions < 510 and 300 <= a.instructions < 310
 

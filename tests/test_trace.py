@@ -610,23 +610,6 @@ class TestSampledReplay:
         d = SimSpec.make("gzip", MACHINE_SAMIE, 500, 100, seed=2)
         assert c.key != d.key
 
-    def test_run_one_shares_key_with_spec_path(self, tmp_path):
-        from repro.experiments import runner
-
-        path = str(tmp_path / "t.uoptrace")
-        record_trace(path, "gzip", 3000)
-        TraceWorkload(path, name="keyshare-alias").register()
-        try:
-            spec = SimSpec.make("keyshare-alias", MACHINE_SAMIE, 400, 100)
-            # the factory shim and the spec engine must memoise the same
-            # simulation under the same identity, alias or not
-            factory_key = runner._spec_key(
-                "keyshare-alias", spec.machine_key, 400, 100, 1, None
-            )
-            assert factory_key == spec.key
-        finally:
-            registry.unregister_trace_workload("keyshare-alias")
-
     def test_sweep_keyed_by_caller_names(self, tmp_path):
         from repro.experiments.runner import sweep
 
@@ -634,6 +617,10 @@ class TestSampledReplay:
         record_trace(path, "gzip", 3000)
         TraceWorkload(path, name="sweep-alias").register()
         try:
+            # an alias and the trace's path name share one cache identity
+            via_alias = SimSpec.make("sweep-alias", MACHINE_SAMIE, 400, 100)
+            via_path = SimSpec.make(spec_name(path), MACHINE_SAMIE, 400, 100)
+            assert via_alias.key == via_path.key
             out = sweep(["sweep-alias"], [MACHINE_SAMIE],
                         instructions=400, warmup=100)
             assert ("sweep-alias", "samie") in out
@@ -753,13 +740,13 @@ class TestTraceCLI:
         assert "whole-trace" in capsys.readouterr().err
 
     def test_check_full_does_not_pollute_runner_memo(self, tmp_path):
-        from repro.experiments.runner import _cache
+        from repro.experiments.runner import default_session
 
         out = str(tmp_path / "t.uoptrace")
         record_trace(out, "gzip", 12000)
         assert main(["trace", "replay", out, "--sample-ratio", "0.1",
                      "--sample-period", "1000", "--check-full"]) == 0
-        for res in _cache.values():
+        for res in default_session()._memo.values():
             assert "ipc_error_vs_full" not in (res.extra or {}).get("sampling", {})
 
     def test_missing_paths_fail_cleanly(self, tmp_path, capsys):
