@@ -249,11 +249,11 @@ class Pipeline:
 
         #: event-driven skipping of quiescent stall cycles (see
         #: :meth:`_skip_quiescent`).  Bit-preserving by construction, so
-        #: like the warm-engine choice it is not part of any cache key;
-        #: off by default so full-replay runs keep a zero-cost loop, and
-        #: enabled by the sampled-run driver where stall-dominated
-        #: measured windows are the wall-clock bottleneck.
-        self.event_skip = False
+        #: like the warm-engine choice it is not part of any cache key.
+        #: On by default for every run; the stepped loop it replaces
+        #: (``event_skip = False``) is kept as the oracle that
+        #: tests/test_event_skip.py compares against.
+        self.event_skip = True
         #: cycles jumped over by the skip (diagnostic; not a statistic)
         self.skipped_cycles = 0
 
@@ -906,9 +906,21 @@ class Pipeline:
         self._run_until(self.committed + max_instructions, self.cycle + limit)
         return self.result()
 
+    @property
+    def skip_active(self) -> bool:
+        """Whether :meth:`run` takes the event-driven loop.
+
+        True when :attr:`event_skip` is on, no cycle tracer is attached
+        (a tracer snaps every cycle) and MSHR stalls are charged as
+        intervals: the per-poll reference counting
+        (``mem.interval_stall_stats = False``) charges every polled
+        cycle, so a skipped poll would drop a charge.
+        """
+        return self.event_skip and self._ctrace is None and self.mem.interval_stall_stats
+
     def _run_until(self, target_committed: int, cycle_limit: int) -> None:
         step = self.step
-        if self.event_skip and self._ctrace is None:
+        if self.skip_active:
             skip = self._skip_quiescent
             while self.committed < target_committed and self.cycle < cycle_limit:
                 if self._trace_exhausted and not self._inflight and not self.fetch_queue:

@@ -66,6 +66,9 @@ class ProfileReport:
         lines = [
             f"profile: {self.instructions} instructions, {self.cycles} cycles, "
             f"{self.total_s:.3f}s wall",
+            # the profiler's cycle tracer forces the stepped loop
+            "loop: stepped (profiled runs time every cycle; "
+            "untraced runs skip quiescent cycles)",
             "",
             f"  {'stage':<14} {'time':>9} {'frac':>7} {'calls':>10}",
         ]

@@ -6,7 +6,9 @@ every stat counter -- floats compared exactly) captured from the
 *pre-refactor* simulator for each LSQ model across representative
 geometries, workloads and both track_data modes.  The optimized core
 must reproduce them bit-for-bit; any mismatch means an optimization
-changed semantics, not just speed.
+changed semantics, not just speed.  Every cell is pinned twice: on the
+shipping event-driven loop (cycle skipping on, the default) and on the
+stepped loop (``event_skip = False``) that serves as its oracle.
 
 Regenerate (only after an intentional semantic change, in the same
 commit that explains why):
@@ -34,20 +36,20 @@ with open(GOLDEN_PATH) as _fh:
     GOLDEN = json.load(_fh)
 
 
-def _run_case(case: dict) -> dict:
+def _run_case(case: dict, event_skip: bool) -> dict:
     spec = (case["lsq"][0], tuple((k, v) for k, v in case["lsq"][1]))
     cfg = ProcessorConfig(track_data=True) if case["track_data"] else None
     pipe = build_processor(build_lsq(spec), cfg)
+    pipe.event_skip = event_skip
     pipe.attach_trace(make_trace(case["workload"], seed=1))
     result = pipe.run(GOLDEN["instructions"], warmup=GOLDEN["warmup"])
     # JSON round trip: tuples -> lists, exactly how the golden was saved
     return json.loads(json.dumps(result.to_dict()))
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN["cases"]))
-def test_bit_identical_to_pre_refactor_golden(name):
+def _check_case(name: str, event_skip: bool) -> None:
     case = GOLDEN["cases"][name]
-    got = _run_case(case)
+    got = _run_case(case, event_skip)
     want = case["result"]
     assert got.keys() == want.keys()
     for key in want:
@@ -55,6 +57,18 @@ def test_bit_identical_to_pre_refactor_golden(name):
             f"{name}: SimResult field {key!r} diverged from the "
             f"pre-refactor golden\n want: {want[key]}\n  got: {got[key]}"
         )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["cases"]))
+def test_bit_identical_to_pre_refactor_golden(name):
+    """The default, event-driven loop."""
+    _check_case(name, event_skip=True)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["cases"]))
+def test_stepped_loop_bit_identical_to_golden(name):
+    """The stepped oracle loop (cycle skipping off)."""
+    _check_case(name, event_skip=False)
 
 
 def test_area_tables_are_integral():

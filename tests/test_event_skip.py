@@ -1,13 +1,15 @@
 """Event-driven cycle skipping is bit-identical to stepped execution.
 
-``Pipeline.event_skip`` lets ``_run_until`` jump the clock over provably
-quiescent stall regions.  The contract (like the vectorized warm engine)
-is *bit identity*: every field of the ``SimResult`` -- cycles, energy,
-area integrals, occupancy histograms, MSHR counters -- must match a
-stepped run exactly, which is why the flag is not part of any cache key.
+``Pipeline.event_skip`` (on by default) lets ``_run_until`` jump the
+clock over provably quiescent stall regions.  The contract (like the
+vectorized warm engine) is *bit identity*: every field of the
+``SimResult`` -- cycles, energy, area integrals, occupancy histograms,
+MSHR counters -- must match a stepped run (``event_skip = False``, the
+oracle) exactly, which is why the flag is not part of any cache key.
 This suite enforces the contract across the golden-grid machine
-configurations, tight MSHR geometries (where stall episodes dominate),
-and a full sampled run, and checks non-vacuity (cycles actually skipped).
+configurations, the benchmark's regimes, tight MSHR geometries (where
+stall episodes dominate), a data-tracking run and a full sampled run,
+and checks non-vacuity (cycles actually skipped).
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import pytest
 
 from repro.core.config import ProcessorConfig
 from repro.core.processor import build_processor
-from repro.experiments.runner import build_lsq, lsq_spec
+from repro.experiments.runner import MACHINE_SAMIE, SimSpec, build_lsq, lsq_spec
 from repro.mem.hierarchy import MemConfig
+from repro.obs.cycletrace import CycleTracer
+from repro.obs.profile import run_profiled
 from repro.trace.sampling import SamplePlan, run_sampled
 from repro.workloads.registry import make_trace
 
@@ -40,16 +44,24 @@ CASES = [
      dict(mshr_entries=1, mshr_targets=2)),
     ("samie-blocking-swim", "swim", lsq_spec("samie"),
      dict(mshr_entries=1, mshr_targets=1)),
+    # the benchmark's regimes: SAMIE bank pressure, forwarding-heavy
+    # high IPC, and an MSHR-stalling FP profile
+    ("samie-bank_conflict", "scenario:bank_conflict", lsq_spec("samie"), None),
+    ("conv128-aliasing_storm", "scenario:aliasing_storm",
+     lsq_spec("conventional", capacity=128), None),
+    ("samie-ammp", "ammp", lsq_spec("samie"), None),
 ]
 
 
-def _run(spec, workload, geom, skip):
-    cfg = ProcessorConfig(mem=MemConfig(**geom)) if geom else None
+def _run(spec, workload, geom, skip, track_data=False):
+    cfg = ProcessorConfig(
+        mem=MemConfig(**geom) if geom else MemConfig(), track_data=track_data,
+    )
     pipe = build_processor(build_lsq(spec), cfg)
     pipe.event_skip = skip
     pipe.attach_trace(make_trace(workload, seed=1))
     result = pipe.run(3000, warmup=500)
-    return result.to_dict(), pipe.skipped_cycles
+    return result.to_dict(), pipe
 
 
 class TestSkipBitIdentity:
@@ -57,15 +69,48 @@ class TestSkipBitIdentity:
                              ids=[c[0] for c in CASES])
     def test_skip_on_equals_skip_off(self, name, workload, spec, geom):
         off, _ = _run(spec, workload, geom, skip=False)
-        on, skipped = _run(spec, workload, geom, skip=True)
+        on, pipe = _run(spec, workload, geom, skip=True)
         assert on == off
         # non-vacuity: the machine idles at memory on every seed
         # workload, so a skip that never fires means a dead guard
-        assert skipped > 0
+        assert pipe.skipped_cycles > 0
 
-    def test_default_is_off_on_bare_pipelines(self):
+    @pytest.mark.parametrize("spec", [
+        lsq_spec("conventional", capacity=128),
+        lsq_spec("samie"),
+        lsq_spec("arb", banks=8, addresses_per_bank=16, max_inflight=128),
+    ], ids=["conv128", "samie", "arb-8x16"])
+    def test_track_data_values_match(self, spec):
+        """The data-value oracle sees the same loads and memory image."""
+        off, stepped = _run(spec, "mcf", None, skip=False, track_data=True)
+        on, skipping = _run(spec, "mcf", None, skip=True, track_data=True)
+        assert on == off
+        assert skipping.skipped_cycles > 0
+        assert skipping.committed_load_values
+        assert skipping.committed_load_values == stepped.committed_load_values
+        assert skipping.committed_memory() == stepped.committed_memory()
+
+    def test_default_is_on_on_bare_pipelines(self):
         pipe = build_processor(build_lsq(lsq_spec("samie")))
-        assert pipe.event_skip is False
+        assert pipe.event_skip is True
+        assert pipe.skip_active
+        assert pipe.skipped_cycles == 0
+
+    def test_cycle_tracer_forces_the_stepped_loop(self):
+        pipe = build_processor(build_lsq(lsq_spec("samie")))
+        pipe.set_cycle_tracer(CycleTracer(every=64))
+        assert pipe.event_skip is True and not pipe.skip_active
+        pipe.attach_trace(make_trace("mcf", seed=1))
+        pipe.run(500)
+        assert pipe.skipped_cycles == 0
+
+    def test_polled_stall_reference_forces_the_stepped_loop(self):
+        cfg = ProcessorConfig(mem=MemConfig(mshr_entries=2, mshr_targets=1))
+        pipe = build_processor(build_lsq(lsq_spec("samie")), cfg)
+        pipe.mem.interval_stall_stats = False
+        assert not pipe.skip_active
+        pipe.attach_trace(make_trace("mcf", seed=1))
+        pipe.run(500)
         assert pipe.skipped_cycles == 0
 
 
@@ -76,16 +121,21 @@ class TestSampledRunSkip:
         skipped = {}
         for flag in (False, True):
             pipe = build_processor(build_lsq(lsq_spec("samie")))
+            pipe.event_skip = flag
             r = run_sampled(pipe, make_trace("mcf", seed=1), plan,
-                            max_measured=2400, event_skip=flag)
+                            max_measured=2400)
             results[flag] = r.to_dict()
             skipped[flag] = pipe.skipped_cycles
         assert results[True] == results[False]
         assert skipped[True] > 0 and skipped[False] == 0
 
-    def test_run_sampled_restores_pipe_flag(self):
-        plan = SamplePlan(period=4000, warmup=100, measure=400)
-        pipe = build_processor(build_lsq(lsq_spec("samie")))
-        run_sampled(pipe, make_trace("gzip", seed=1), plan,
-                    max_measured=400, event_skip=True)
-        assert pipe.event_skip is False  # caller's setting restored
+
+class TestProfileNamesItsLoop:
+    """``repro run --profile`` attaches a cycle tracer, which turns cycle
+    skipping off; the report says so instead of timing it silently."""
+
+    def test_profiled_run_reports_the_stepped_loop(self):
+        spec = SimSpec.make("mcf", MACHINE_SAMIE, instructions=400, warmup=100)
+        result, report = run_profiled(spec)
+        assert "loop: stepped" in report.render()
+        assert result.cycles == report.cycles
