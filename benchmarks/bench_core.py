@@ -3,8 +3,10 @@
 
 Measures detailed-model simulation speed (committed uops per wall-clock
 second) for each LSQ kind across a set of workloads at test scale, plus a
-cycle-loop stage breakdown and a sampled-replay section (one cell per
-warm engine over a recorded trace at a SMARTS-regime plan), and emits a
+cycle-loop stage breakdown, a stand-up section (pipeline plus trace
+construction per LSQ kind, the fixed cost of every short run) and a
+sampled-replay section (one cell per warm engine over a recorded trace at
+a SMARTS-regime plan), and emits a
 machine-readable ``BENCH_core.json`` so every PR lands on a recorded
 perf baseline.
 
@@ -90,6 +92,43 @@ def _run_once(spec, workload: str, n: int, warmup: int, seed: int = 1):
     t0 = time.perf_counter()
     result = pipe.run(n, warmup=warmup)
     return time.perf_counter() - t0, result
+
+
+#: stand-up cells: what every service miss and sweep point pays before
+#: its first cycle (``build_processor`` plus the workload's trace),
+#: timed over ``STANDUP_ROUNDS`` back-to-back builds per repeat
+STANDUP_WORKLOAD = "gzip"
+STANDUP_ROUNDS = 20
+
+
+def _standup_section(repeat: int) -> list[dict]:
+    """Stand-up cells (workload="standup"), one per LSQ kind, gated on
+    ``standups_per_sec`` like the throughput cells."""
+    results = []
+    for spec in MACHINES:
+        best = None
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            for _ in range(STANDUP_ROUNDS):
+                pipe = build_processor(build_lsq(spec))
+                pipe.attach_trace(make_trace(STANDUP_WORKLOAD, 1))
+            secs = (time.perf_counter() - t0) / STANDUP_ROUNDS
+            best = secs if best is None else min(best, secs)
+        cell = {
+            "lsq": spec[0],
+            "workload": "standup",
+            "seconds": round(best, 6),
+            "standups_per_sec": round(1.0 / best, 1),
+        }
+        results.append(cell)
+        print(f"{spec[0]:14s} {'standup':8s} {cell['standups_per_sec']:>10.0f} "
+              f"stand-ups/s ({best * 1e3:.2f} ms)", flush=True)
+    return results
+
+
+def _rate(cell: dict) -> float:
+    """A cell's gated throughput: uops/s, or stand-ups/s."""
+    return cell["uops_per_sec"] if "uops_per_sec" in cell else cell["standups_per_sec"]
 
 
 def _stage_breakdown(spec, workload: str, n: int, warmup: int, seed: int = 1):
@@ -214,6 +253,7 @@ def measure(workloads, n: int, warmup: int, repeat: int, breakdown: bool):
                 f" {cell['cycles_per_sec']:>10.0f} cyc/s  ipc={sim.ipc:.3f}",
                 flush=True,
             )
+    results.extend(_standup_section(repeat))
     results.extend(_sampled_section(repeat))
     # record the sampled-run speedups alongside the raw cells: the
     # shipping configuration (sampled-skip) against the same-commit
@@ -263,28 +303,28 @@ def check_against(doc: dict, baseline: dict, tolerance: float) -> list[str]:
     """Regressed cells vs a baseline document (empty list = pass).
 
     When both documents carry a ``host_score`` the comparison is made on
-    host-normalized throughput (``uops_per_sec / host_score``), so the
-    gate measures the *code*, not the runner it happened to land on.
+    host-normalized throughput (``uops_per_sec / host_score``, stand-up
+    cells ``standups_per_sec / host_score``), so the gate measures the
+    *code*, not the runner it happened to land on.
     """
     cur_score = doc.get("meta", {}).get("host_score")
     base_score = baseline.get("meta", {}).get("host_score")
     normalize = bool(cur_score and base_score)
-    base = {
-        (c["lsq"], c["workload"]): c["uops_per_sec"] for c in baseline["results"]
-    }
+    base = {(c["lsq"], c["workload"]): _rate(c) for c in baseline["results"]}
     failures = []
     for cell in doc["results"]:
         key = (cell["lsq"], cell["workload"])
         ref = base.get(key)
         if ref is None:
             continue
-        cur = cell["uops_per_sec"]
+        cur = _rate(cell)
+        what = "uops" if "uops_per_sec" in cell else "stand-ups"
         if normalize:
             cur /= cur_score
             ref /= base_score
-            unit = "uops/kernel-iter"
+            unit = f"{what}/kernel-iter"
         else:
-            unit = "uops/s"
+            unit = f"{what}/s"
         floor = ref * (1.0 - tolerance)
         if cur < floor:
             failures.append(

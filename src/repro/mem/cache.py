@@ -8,6 +8,14 @@ The ``presentBit`` per line supports the SAMIE-LSQ extension (paper §3.4):
 when an LSQ entry caches the physical location of a line, the line's
 presentBit is set; the eviction callback lets the LSQ clear stale cached
 locations when the line is replaced.
+
+State lives in flat per-slot lists, ``slot = set * assoc + way``
+(resident line address or None, LRU clock, dirty, presentBit), plus one
+dict from resident line address to slot.  Building a cache is a few list
+multiplications; a probe or hit is one dict lookup.  A miss takes its
+victim from the set's slice: the first invalid way, else the first way
+with the minimum LRU clock.  The returned ``way`` is architectural --
+SAMIE entries record and compare it -- so that rule is fixed.
 """
 
 from __future__ import annotations
@@ -47,17 +55,6 @@ class AccessResult:
     evicted_dirty: bool = False
 
 
-class _Line:
-    __slots__ = ("tag", "valid", "dirty", "present_bit", "lru")
-
-    def __init__(self):
-        self.tag = 0
-        self.valid = False
-        self.dirty = False
-        self.present_bit = False
-        self.lru = 0
-
-
 class Cache:
     """Set-associative, write-back, write-allocate cache with true LRU.
 
@@ -86,7 +83,15 @@ class Cache:
             raise ValueError("number of sets must be a power of two")
         self.set_mask = self.num_sets - 1
         self.set_bits = ilog2(self.num_sets)
-        self._sets = [[_Line() for _ in range(assoc)] for _ in range(self.num_sets)]
+        slots = self.num_sets * assoc
+        #: per-slot state, ``slot = set * assoc + way``; ``_line`` holds
+        #: the resident line address (None = invalid way)
+        self._line: list[int | None] = [None] * slots
+        self._lru = [0] * slots
+        self._dirty = [False] * slots
+        self._present = [False] * slots
+        #: resident line address -> slot
+        self._where: dict[int, int] = {}
         self._clock = 0
         self.stats = CacheStats()
         #: callback(set_index, evicted_line_addr) fired on every replacement
@@ -104,53 +109,29 @@ class Cache:
     # -- lookup ------------------------------------------------------------
     def probe(self, line_addr: int) -> int | None:
         """Return the way holding ``line_addr`` (no state change), or None."""
-        s = self._sets[self.set_of(line_addr)]
-        tag = self.tag_of(line_addr)
-        for w, line in enumerate(s):
-            if line.valid and line.tag == tag:
-                return w
-        return None
+        slot = self._where.get(line_addr)
+        return None if slot is None else slot % self.assoc
 
     def access(self, line_addr: int, write: bool = False) -> AccessResult:
         """Perform an access: update LRU, allocate on miss, return outcome."""
         self._clock += 1
-        self.stats.accesses += 1
-        set_idx = self.set_of(line_addr)
-        s = self._sets[set_idx]
-        tag = self.tag_of(line_addr)
-        for w, line in enumerate(s):
-            if line.valid and line.tag == tag:
-                self.stats.hits += 1
-                line.lru = self._clock
-                if write:
-                    line.dirty = True
-                return AccessResult(True, set_idx, w)
-        # miss: allocate into the LRU way
-        self.stats.misses += 1
-        victim_way = 0
-        victim = s[0]
-        for w, line in enumerate(s):
-            if not line.valid:
-                victim_way, victim = w, line
-                break
-            if line.lru < victim.lru:
-                victim_way, victim = w, line
-        evicted_line = None
-        evicted_dirty = False
-        if victim.valid:
-            self.stats.evictions += 1
-            evicted_line = (victim.tag << self.set_bits) | set_idx
-            evicted_dirty = victim.dirty
+        stats = self.stats
+        stats.accesses += 1
+        set_idx = line_addr & self.set_mask
+        slot = self._where.get(line_addr)
+        if slot is not None:
+            stats.hits += 1
+            self._lru[slot] = self._clock
+            if write:
+                self._dirty[slot] = True
+            return AccessResult(True, set_idx, slot % self.assoc)
+        stats.misses += 1
+        way, evicted_line, evicted_dirty = self._fill(line_addr, set_idx, write)
+        if evicted_line is not None:
+            stats.evictions += 1
             if evicted_dirty:
-                self.stats.writebacks += 1
-            if self.on_evict is not None:
-                self.on_evict(set_idx, evicted_line)
-        victim.tag = tag
-        victim.valid = True
-        victim.dirty = write
-        victim.present_bit = False
-        victim.lru = self._clock
-        return AccessResult(False, set_idx, victim_way, evicted_line, evicted_dirty)
+                stats.writebacks += 1
+        return AccessResult(False, set_idx, way, evicted_line, evicted_dirty)
 
     def warm_access(self, line_addr: int, write: bool = False) -> bool:
         """Functional-warming access: placement/LRU/eviction side effects
@@ -161,72 +142,75 @@ class Cache:
         architectural state, not a statistic.  Returns the hit outcome.
         """
         self._clock += 1
-        set_idx = self.set_of(line_addr)
-        s = self._sets[set_idx]
-        tag = self.tag_of(line_addr)
-        for line in s:
-            if line.valid and line.tag == tag:
-                line.lru = self._clock
-                if write:
-                    line.dirty = True
-                return True
-        victim = s[0]
-        for line in s:
-            if not line.valid:
-                victim = line
-                break
-            if line.lru < victim.lru:
-                victim = line
-        if victim.valid and self.on_evict is not None:
-            self.on_evict(set_idx, (victim.tag << self.set_bits) | set_idx)
-        victim.tag = tag
-        victim.valid = True
-        victim.dirty = write
-        victim.present_bit = False
-        victim.lru = self._clock
+        slot = self._where.get(line_addr)
+        if slot is not None:
+            self._lru[slot] = self._clock
+            if write:
+                self._dirty[slot] = True
+            return True
+        self._fill(line_addr, line_addr & self.set_mask, write)
         return False
 
+    def _fill(self, line_addr: int, set_idx: int, write: bool):
+        """Allocate ``line_addr`` into its set's victim way (the first
+        invalid way, else the first least-recently-used one) and fire the
+        eviction callback; returns ``(way, evicted line, evicted dirty)``."""
+        base = set_idx * self.assoc
+        end = base + self.assoc
+        resident = self._line[base:end]
+        victim = None
+        dirty = False
+        if None in resident:
+            way = resident.index(None)
+        else:
+            lru = self._lru[base:end]
+            way = lru.index(min(lru))
+            victim = resident[way]
+            dirty = self._dirty[base + way]
+            if self.on_evict is not None:
+                self.on_evict(set_idx, victim)
+            del self._where[victim]
+        slot = base + way
+        self._line[slot] = line_addr
+        self._where[line_addr] = slot
+        self._lru[slot] = self._clock
+        self._dirty[slot] = write
+        self._present[slot] = False
+        return way, victim, dirty
+
     def state_dump(self) -> dict:
-        """Canonical snapshot of all placement state (tags, flags, LRU
+        """Canonical snapshot of all placement state (lines, flags, LRU
         clocks) for the warm-engine equivalence tier: two caches behaved
         bit-identically iff their dumps are equal."""
         return {
             "clock": self._clock,
-            "sets": [
-                [(ln.tag, ln.valid, ln.dirty, ln.present_bit, ln.lru) for ln in s]
-                for s in self._sets
-            ],
+            "line": list(self._line),
+            "lru": list(self._lru),
+            "dirty": list(self._dirty),
+            "present": list(self._present),
         }
 
     # -- presentBit support (SAMIE extension) ------------------------------
     def set_present_bit(self, set_idx: int, way: int, value: bool = True) -> None:
         """Set/clear the presentBit of a resident line."""
-        self._sets[set_idx][way].present_bit = value
+        self._present[set_idx * self.assoc + way] = value
 
     def present_bit(self, set_idx: int, way: int) -> bool:
         """Read the presentBit of a line."""
-        return self._sets[set_idx][way].present_bit
+        return self._present[set_idx * self.assoc + way]
 
     def line_at(self, set_idx: int, way: int) -> int | None:
         """Line address resident at (set, way), or None if invalid."""
-        line = self._sets[set_idx][way]
-        if not line.valid:
-            return None
-        return (line.tag << self.set_bits) | set_idx
+        return self._line[set_idx * self.assoc + way]
 
     def contents(self) -> set[int]:
         """All resident line addresses (testing aid)."""
-        out: set[int] = set()
-        for set_idx, s in enumerate(self._sets):
-            for line in s:
-                if line.valid:
-                    out.add((line.tag << self.set_bits) | set_idx)
-        return out
+        return set(self._where)
 
     def flush(self) -> None:
         """Invalidate every line (does not fire eviction callbacks)."""
-        for s in self._sets:
-            for line in s:
-                line.valid = False
-                line.dirty = False
-                line.present_bit = False
+        slots = len(self._line)
+        self._line[:] = [None] * slots
+        self._dirty[:] = [False] * slots
+        self._present[:] = [False] * slots
+        self._where.clear()

@@ -22,11 +22,14 @@ How exact vectorization is possible
   ops, the predictor/BTB only branches.  Bit-identity therefore reduces
   to sequential equivalence per structure over its own subsequence.
 * **Run collapsing.**  Within one cache set (or one TLB), consecutive
-  accesses to the same tag (page) are guaranteed hits -- nothing else
+  accesses to the same line (page) are guaranteed hits -- nothing else
   touched the set in between -- and collapse to ``dirty |= any-write,
-  lru = last clock``.  Only tag *transitions* need the exact LRU walk,
+  lru = last clock``.  Only line *transitions* need the exact LRU walk,
   done in a small Python loop whose trip count tracks locality misses,
-  not accesses.
+  not accesses.  The walk works on copies of the set's slot slices of
+  :class:`~repro.mem.cache.Cache` (line, LRU, dirty, presentBit), keeps
+  the cache's line-to-slot dict in step as lines enter and leave, and
+  stores the slices back once per set.
 * **Closed-form saturating counters.**  A 2-bit counter hit by a
   sequence of +-1 steps ``d_j`` evolves as ``x_j = min(3 + S_j - M_j,
   max(S_j - m_j, x0 + S_j))`` with ``S`` the prefix sum and ``M``/``m``
@@ -181,37 +184,39 @@ def _warm_cache(cache, lines, writes) -> None:
     LRU comparisons only happen within a set and the clock value of
     access ``i`` is ``clk0 + i + 1`` regardless of outcome, so each
     set's subsequence replays independently with precomputed clocks.
-    Within a set, consecutive same-tag accesses collapse to their run's
-    last clock / OR of writes; only tag transitions replay, against the
-    set's state loaded once into parallel scalar lists (list.index and
-    min run at C speed, and line objects are written back once per set
-    instead of once per run).
+    Within a set, consecutive same-line accesses collapse to their run's
+    last clock / OR of writes; only line transitions replay, on copies
+    of the set's line and LRU slot slices (list.index and min run at C
+    speed), which are written back once per set; dirty and presentBit
+    slots and ``_where`` are updated in place.
     """
     n = len(lines)
     if n == 0:
         return
     clk0 = cache._clock
-    set_bits = cache.set_bits
+    assoc = cache.assoc
     set_idx = (lines & np.uint64(cache.set_mask)).astype(np.int64)
-    tags = lines >> np.uint64(set_bits)
     order = np.argsort(set_idx, kind="stable")
     s_sets = set_idx[order]
-    s_tags = tags[order]
+    s_lines = lines[order]
     s_clk = clk0 + 1 + order  # global access clock, grouped by set
     bnd = np.empty(n, dtype=bool)
     bnd[0] = True
-    bnd[1:] = (s_sets[1:] != s_sets[:-1]) | (s_tags[1:] != s_tags[:-1])
+    bnd[1:] = s_lines[1:] != s_lines[:-1]  # the line fixes the set
     starts = np.flatnonzero(bnd)
     ends = np.append(starts[1:], n)
     run_set = s_sets[starts].tolist()
-    run_tag = s_tags[starts].tolist()
+    run_line = s_lines[starts].tolist()
     run_lru = s_clk[ends - 1].tolist()
     if writes is None:
         run_wr = [False] * len(starts)
     else:
         run_wr = np.logical_or.reduceat(writes[order], starts).tolist()
     run_pos = s_clk[starts].tolist()  # global-order key for evictions
-    sets = cache._sets
+    c_line, c_lru, c_dirty, c_pres = (
+        cache._line, cache._lru, cache._dirty, cache._present
+    )
+    where = cache._where
     cb = cache.on_evict
     # an LSQ hook that is idempotent per set and blind to the line
     # address (see ``LSQBase.evict_hook_set_idempotent``) collapses a
@@ -229,49 +234,43 @@ def _warm_cache(cache, lines, writes) -> None:
         end = k
         while end < nruns and run_set[end] == si:
             end += 1
-        # replay the set's whole run subsequence on parallel scalar
-        # lists (C-speed .index()/min()) and write the lines back once;
-        # invalid ways carry tag None so an integer tag can never match
-        ways = sets[si]
-        vtag = [ln.tag if ln.valid else None for ln in ways]
-        vlru = [ln.lru for ln in ways]
-        vdirty = [ln.dirty for ln in ways]
-        vpres = [ln.present_bit for ln in ways]
-        free = [w for w, t in enumerate(vtag) if t is None]
+        base = si * assoc
+        top = base + assoc
+        # invalid ways hold None, so a line address can never match one
+        vline = c_line[base:top]
+        vlru = c_lru[base:top]
         first_evict = None
         for r in range(k, end):
-            tag = run_tag[r]
+            line = run_line[r]
             wr = run_wr[r]
-            if tag in vtag:
-                w = vtag.index(tag)
+            if line in vline:
+                w = vline.index(line)
                 vlru[w] = run_lru[r]
                 if wr:
-                    vdirty[w] = True
+                    c_dirty[base + w] = True
+                continue
+            if None in vline:
+                w = vline.index(None)  # first invalid way, like the scalar walk
             else:
-                if free:
-                    w = free.pop(0)  # first invalid way, like the scalar walk
-                else:
-                    # clocks are unique, so min() is tie-free; .index()
-                    # matches the scalar walk's first-lowest preference
-                    w = vlru.index(min(vlru))
-                    if cb is not None:
-                        line_addr = (vtag[w] << set_bits) | si
-                        if dedup:
-                            if first_evict is None:
-                                first_evict = line_addr
-                        else:
-                            evicts.append((run_pos[r], si, line_addr))
-                vtag[w] = tag
-                vdirty[w] = wr
-                vpres[w] = False
-                vlru[w] = run_lru[r]
-        for w, ln in enumerate(ways):
-            if vtag[w] is not None:
-                ln.tag = vtag[w]
-                ln.valid = True
-                ln.lru = vlru[w]
-                ln.dirty = vdirty[w]
-                ln.present_bit = vpres[w]
+                # clocks are unique, so min() is tie-free; .index()
+                # matches the scalar walk's first-lowest preference
+                w = vlru.index(min(vlru))
+                victim = vline[w]
+                del where[victim]
+                if cb is not None:
+                    if dedup:
+                        if first_evict is None:
+                            first_evict = victim
+                    else:
+                        evicts.append((run_pos[r], si, victim))
+            vline[w] = line
+            vlru[w] = run_lru[r]
+            slot = base + w
+            where[line] = slot
+            c_dirty[slot] = wr
+            c_pres[slot] = False
+        c_line[base:top] = vline
+        c_lru[base:top] = vlru
         if first_evict is not None:
             set_first[si] = first_evict
         k = end

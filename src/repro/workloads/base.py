@@ -64,6 +64,12 @@ class WorkloadProfile:
     note: str = ""
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 class _Slot:
     __slots__ = ("kind", "op", "pattern", "bias", "target", "pc")
 
@@ -105,6 +111,10 @@ class TraceBuilder:
         compute_ops = list(p.compute_mix)
         compute_w = np.array([p.compute_mix[o] for o in compute_ops], dtype=float)
         compute_w /= compute_w.sum()
+        # Generator.choice(n, p=w)'s own algorithm (normalized CDF, one
+        # uniform draw, right-side search), minus its per-call checks
+        pattern_cdf = _cdf(self._pattern_probs)
+        compute_cdf = _cdf(compute_w)
         for i in range(total):
             pc = CODE_BASE + 4 * i
             last_in_block = (i + 1) % p.block_len == 0
@@ -131,11 +141,11 @@ class TraceBuilder:
                     if rng.random() < p.store_frac
                     else OpClass.LOAD
                 )
-                pat_idx = int(rng.choice(len(self._patterns), p=self._pattern_probs))
+                pat_idx = int(pattern_cdf.searchsorted(rng.random(), side="right"))
                 s.pattern = self._patterns[pat_idx][1]
             else:
                 s = _Slot("compute", pc)
-                s.op = compute_ops[int(rng.choice(len(compute_ops), p=compute_w))]
+                s.op = compute_ops[int(compute_cdf.searchsorted(rng.random(), side="right"))]
             slots.append(s)
         return slots
 

@@ -127,22 +127,61 @@ class TestPresentBit:
         assert c.contents() == set()
 
 
-@settings(max_examples=30)
-@given(st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=300))
-def test_cache_matches_lru_reference(lines):
-    """The cache must agree with a straightforward per-set LRU model."""
-    c = Cache(512, 2, 32)  # 8 sets, 2 ways
-    ref: dict[int, list[int]] = {s: [] for s in range(c.num_sets)}  # MRU first
-    for line in lines:
+@settings(max_examples=60)
+@given(st.lists(st.integers(min_value=0, max_value=4 * 64 - 1), min_size=100, max_size=400))
+def test_cache_matches_lru_reference(ops):
+    """The cache must agree way for way with a straightforward per-set
+    true-LRU model: SAMIE entries record the returned way, so placement
+    (first invalid way, else the least recently used) is part of the
+    contract, as are evictions, dirty write-backs and callback order.
+    ``warm_access`` ops place lines exactly as ``access`` does but leave
+    the statistics alone.  Each op packs ``line << 2 | write << 1 |
+    warm`` over 64 lines (8 per set, so sets overflow), and sequences
+    are long enough for a warm write hit to be evicted later."""
+    events = []
+    c = Cache(1024, 4, 32, on_evict=lambda s, line: events.append((s, line)))  # 8 sets
+    assoc = 4
+    ways = {s: [None] * assoc for s in range(c.num_sets)}  # line per way
+    last = {s: [0] * assoc for s in range(c.num_sets)}  # last-use tick per way
+    dirty = {s: [False] * assoc for s in range(c.num_sets)}
+    expected_events = []
+    hits = misses = writebacks = 0
+    for tick, op in enumerate(ops, 1):
+        line, write, warm = op >> 2, bool(op & 2), bool(op & 1)
         s = c.set_of(line)
-        res = c.access(line)
-        model = ref[s]
-        expected_hit = line in model
-        assert res.hit == expected_hit
-        if expected_hit:
-            model.remove(line)
-        model.insert(0, line)
-        if len(model) > 2:
-            evicted = model.pop()
-            assert res.evicted_line == evicted
-    assert c.contents() == {line for s in ref.values() for line in s}
+        before = (c.stats.accesses, c.stats.hits, c.stats.misses,
+                  c.stats.evictions, c.stats.writebacks)
+        res = c.warm_access(line, write) if warm else c.access(line, write)
+        hit_ref = line in ways[s]
+        ev_line, ev_dirty = None, False
+        if hit_ref:
+            w_ref = ways[s].index(line)
+            dirty[s][w_ref] |= write
+        else:
+            if None in ways[s]:
+                w_ref = ways[s].index(None)
+            else:
+                w_ref = last[s].index(min(last[s]))
+                ev_line, ev_dirty = ways[s][w_ref], dirty[s][w_ref]
+                expected_events.append((s, ev_line))
+            ways[s][w_ref] = line
+            dirty[s][w_ref] = write
+        last[s][w_ref] = tick
+        if warm:
+            assert res is hit_ref
+            after = (c.stats.accesses, c.stats.hits, c.stats.misses,
+                     c.stats.evictions, c.stats.writebacks)
+            assert after == before
+        else:
+            hits += hit_ref
+            misses += not hit_ref
+            writebacks += ev_dirty
+            assert res.hit is hit_ref
+            assert (res.set_index, res.way) == (s, w_ref)
+            assert res.evicted_line == ev_line
+            assert res.evicted_dirty is ev_dirty
+        assert c.probe(line) == w_ref
+        assert c.line_at(s, w_ref) == line
+        assert events == expected_events
+    assert (c.stats.hits, c.stats.misses, c.stats.writebacks) == (hits, misses, writebacks)
+    assert c.contents() == {ln for s in ways.values() for ln in s if ln is not None}

@@ -165,3 +165,39 @@ class TestEnergySideChannels:
         n_mem_events = r.cache_energy_pj["dcache"] / 1009.0
         # roughly half the memory instructions (the stores) hit the cache
         assert n_mem_events < 0.7 * r.instructions
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "_memory_issue routes a load before the MSHR and port checks, so a "
+    "load they refuse is routed (and charged LSQ energy) again next cycle"))
+@pytest.mark.parametrize("lsq", ["conventional", "samie"])
+def test_one_route_per_load_access(lsq, monkeypatch):
+    """Every ``route_load`` call must end in a forward or a D-cache load
+    access: routing is where the LSQ charges its search energy and
+    counts ``loads_from_cache``."""
+    from repro.experiments.runner import build_lsq, lsq_spec
+    from repro.lsq.base import RouteKind
+    from repro.workloads.registry import make_trace
+
+    spec = lsq_spec("conventional", capacity=128) if lsq == "conventional" \
+        else lsq_spec("samie")
+    pipe = build_processor(build_lsq(spec))
+    pipe.attach_trace(make_trace("scenario:bank_conflict", 1))
+    counts = {"routes": 0, "forwards": 0, "loads": 0}
+    route_load, daccess = type(pipe.lsq).route_load, pipe.mem.daccess
+
+    def counting_route(self, ld):
+        route = route_load(self, ld)
+        counts["routes"] += 1
+        counts["forwards"] += route.kind is RouteKind.FORWARD
+        return route
+
+    def counting_daccess(addr, write, **kw):
+        counts["loads"] += not write
+        return daccess(addr, write, **kw)
+
+    monkeypatch.setattr(type(pipe.lsq), "route_load", counting_route)  # slotted
+    pipe.mem.daccess = counting_daccess
+    pipe.run(3000, warmup=500)
+    assert counts["loads"] > 0
+    assert counts["routes"] == counts["forwards"] + counts["loads"]

@@ -2,10 +2,13 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from repro.common.rng import make_rng
 from repro.isa.opclasses import OpClass
-from repro.workloads.base import TraceBuilder
+from repro.scenarios.stressors import INTENSITIES, STRESSOR_NAMES, make_profile
+from repro.workloads.base import CODE_BASE, TraceBuilder
 from repro.workloads.registry import get_workload, list_workloads
 from repro.workloads.spec2000 import SPEC2000_PROFILES, SPEC_FP, SPEC_INT
 
@@ -131,3 +134,62 @@ class TestBehaviouralContrasts:
             return sum(u.is_branch for u in uops) / len(uops)
 
         assert branch_frac("gcc") > 2 * branch_frac("swim")
+
+
+def _choice_program(tb: TraceBuilder) -> list[tuple]:
+    """The static program as ``Generator.choice`` built it: the oracle
+    for the builder's CDF search (same draws, same slots)."""
+    p = tb.profile
+    rng = make_rng(tb.seed, p.name, "build")
+    total = p.n_blocks * p.block_len
+    compute_ops = list(p.compute_mix)
+    compute_w = np.array([p.compute_mix[o] for o in compute_ops], dtype=float)
+    compute_w /= compute_w.sum()
+    slots = []
+    for i in range(total):
+        pc = CODE_BASE + 4 * i
+        if (i + 1) % p.block_len == 0:
+            slots.append(("branch", None, None, p.loop_bias,
+                          (i + 1 - p.block_len) % total, pc))
+            continue
+        r = rng.random()
+        if r < p.branch_frac:
+            if rng.random() < p.hard_site_frac:
+                bias = p.hard_bias
+            else:
+                bias = float(rng.uniform(0.02, 0.08))
+            skip = int(rng.integers(2, 6))
+            target = min(i + skip, (i // p.block_len + 1) * p.block_len - 1)
+            slots.append(("branch", None, None, bias, target, pc))
+        elif r < p.branch_frac + p.mem_frac:
+            op = OpClass.STORE if rng.random() < p.store_frac else OpClass.LOAD
+            pat = int(rng.choice(len(tb._patterns), p=tb._pattern_probs))
+            slots.append(("mem", op, pat, 0.0, 0, pc))
+        else:
+            op = compute_ops[int(rng.choice(len(compute_ops), p=compute_w))]
+            slots.append(("compute", op, None, 0.0, 0, pc))
+    return slots
+
+
+def _builder_profiles():
+    profiles = [get_workload(name) for name in sorted(SPEC2000_PROFILES)]
+    for stressor in STRESSOR_NAMES:
+        for intensity in INTENSITIES:
+            profiles.append(make_profile(stressor, intensity, 0x6000_0000,
+                                         name=f"eq/{stressor}:{intensity}"))
+    return profiles
+
+
+@pytest.mark.parametrize("profile", _builder_profiles(), ids=lambda p: p.name)
+def test_program_matches_generator_choice(profile):
+    for seed in range(1, 21):
+        tb = TraceBuilder(profile, seed=seed)
+        patterns = [pat for _, pat in tb._patterns]
+        built = [
+            (s.kind, s.op,
+             None if s.pattern is None
+             else next(i for i, pat in enumerate(patterns) if pat is s.pattern),
+             s.bias, s.target, s.pc)
+            for s in tb._slots
+        ]
+        assert built == _choice_program(tb), f"seed {seed}"
